@@ -15,7 +15,10 @@
 // The acceptance gate requires >= 2x on the debian world and exits
 // non-zero on regression, so CI runs it next to fork_scaling
 // (DEPCHAOS_SMOKE=1 shrinks the worlds for the quick mode). Full load()
-// closure throughput is reported for context.
+// closure throughput is reported for context. A second, deterministic
+// gate counts the paths a fresh fork's Pynamic load adds to the interner:
+// the candidate storm's misses must intern nothing, so the growth is
+// O(modules), not the ~modules^2 / 2 candidates the sweep probes.
 
 #include <chrono>
 #include <cstdlib>
@@ -159,6 +162,20 @@ double report_world(const char* world_name, core::Session& session,
   return speedup;
 }
 
+/// Paths a fresh fork's first load of a `modules`-module Pynamic world
+/// adds to the fleet-wide interner.
+std::size_t fresh_fork_interned(std::size_t modules) {
+  workload::PynamicConfig config;
+  config.num_modules = modules;
+  config.exe_extra_bytes = 0;
+  auto base = core::WorldBuilder().pynamic(config).build();
+  base.seal();
+  auto fork = base.fork_sealed();
+  const std::size_t before = base.path_table().size();
+  benchmark::DoNotOptimize(fork.load().load_order.size());
+  return base.path_table().size() - before;
+}
+
 int print_report() {
   using depchaos::bench::heading;
   using depchaos::bench::row;
@@ -173,11 +190,20 @@ int print_report() {
   const std::vector<std::string> pynamic_targets{pynamic.default_exe()};
   report_world("pynamic", pynamic, pynamic_targets);
 
+  constexpr std::size_t kInternModules = 200;
+  const std::size_t interned = fresh_fork_interned(kInternModules);
+  row("pynamic fresh-fork load: paths interned",
+      std::to_string(interned) + " (" + std::to_string(kInternModules) +
+          " modules)");
+
   heading("acceptance gate");
   const bool gate_ok = debian_speedup >= 2.0;
   row(">= 2x resolves/s over string baseline (debian)",
       gate_ok ? "PASS" : "FAIL — hot-path regression");
-  return gate_ok ? 0 : 1;
+  const bool intern_ok = interned <= 2 * kInternModules;
+  row("fresh-fork load interns <= 2 paths per module",
+      intern_ok ? "PASS" : "FAIL — misses are being interned");
+  return gate_ok && intern_ok ? 0 : 1;
 }
 
 void BM_StatInternedCached(benchmark::State& state) {

@@ -184,21 +184,22 @@ class Loader {
   };
 
   /// A search directory for probe_dirs: interned on the fast path; `text`
-  /// carries the original spelling only when interning hit the
-  /// PathTable's byte budget (the uncached string-sweep fallback).
+  /// carries the normalized spelling only when interning hit the
+  /// PathTable's byte budget (candidates are then probed by string).
   struct DirRef {
     support::PathId id = support::PathTable::kNone;
     std::string text;
   };
 
-  /// Outcome of a batched directory sweep: which search dir accepted the
+  /// Outcome of a directory sweep: which search dir accepted the
   /// candidate (index into the swept dir list), the candidate's id (kNone
-  /// on the budget-fallback sweep), and its path string.
+  /// when it was probed by string past the byte budget), and its path.
+  static constexpr std::size_t kNoDir = static_cast<std::size_t>(-1);
   struct DirProbe {
-    std::size_t dir = vfs::FileSystem::npos;
+    std::size_t dir = kNoDir;
     support::PathId id = support::PathTable::kNone;
     std::string path;
-    bool found() const { return dir != vfs::FileSystem::npos; }
+    bool found() const { return dir != kNoDir; }
   };
 
   // Pending BFS work item: `needed` entry requested by load_order[req_index].
@@ -221,6 +222,9 @@ class Loader {
     std::unordered_map<std::string, std::size_t> by_realpath_str;
     // Parsed per-application loader cache ("" when absent/disabled).
     std::unordered_map<std::string, std::string> app_cache;
+    // rpath_segment's memo, keyed by load_order index (node-based, so a
+    // segment stays put while later ones are added).
+    std::unordered_map<std::size_t, std::vector<DirRef>> rpath_segments;
     const Environment* env = nullptr;
   };
 
@@ -244,12 +248,15 @@ class Loader {
   /// intern_dir + the original spelling kept for the budget fallback.
   DirRef dir_ref(std::string_view dir) const;
   /// Sweep `dirs` for `name`, hwcaps subdirectories before each plain dir,
-  /// as ONE batched VFS probe call — candidates are (dir id, name) steps in
-  /// the interner, never string concatenation. When candidate interning
-  /// hits the byte budget the sweep degrades to per-candidate string
-  /// probes with identical counters, latency, and probe-log lines.
+  /// probing each candidate as it is reached and stopping at the first
+  /// accepted one. Each attempt is one counted open(2).
   DirProbe probe_dirs(std::span<const DirRef> dirs, const std::string& name,
                       elf::Machine machine);
+  /// Probe `name` inside `dir` through FileSystem::open_child, so a miss
+  /// interns nothing and builds no string unless the probe log wants it.
+  /// `path` receives the candidate's spelling on a hit or a logged probe.
+  bool probe_candidate(const DirRef& dir, const std::string& name,
+                       elf::Machine machine, std::string& path);
   /// Shared probe verdict: ELF magic + architecture checks with LD_DEBUG
   /// style logging. `data` is the already-opened candidate (null = ENOENT).
   bool classify_probe(const std::string& path, const vfs::FileData* data,
@@ -269,13 +276,13 @@ class Loader {
   Resolution search_phase(SearchPhase phase, Session& session,
                           const std::string& name, std::size_t requester_index,
                           elf::Machine machine);
-  /// The inherited rpath chain for `requester`, as interned dir refs.
-  /// `own_count` receives how many leading entries came from the
-  /// requester's own dynamic section (they are reported HowFound::Rpath;
-  /// the rest RpathAncestor).
-  std::vector<DirRef> effective_rpath_chain(const Session& session,
-                                            std::size_t requester_index,
-                                            std::size_t& own_count) const;
+  /// The dirs load_order[index] contributes to every RPATH chain through
+  /// it — its DT_RPATH (unless it has a DT_RUNPATH), plus its DT_RUNPATH
+  /// when melding — $ORIGIN-expanded and interned on first use, then
+  /// memoized for the rest of the load. A requester's effective chain is
+  /// its own segment followed by each ancestor's.
+  const std::vector<DirRef>& rpath_segment(Session& session,
+                                           std::size_t index) const;
 
   /// Expand $ORIGIN/${ORIGIN} in one pass. Returns `entry` itself when
   /// there is nothing to expand (no allocation — the common case), else a
@@ -300,10 +307,6 @@ class Loader {
   // ld.so.cache: name -> (path, from ld_so_conf or default).
   std::unordered_map<std::string, Resolution> ld_cache_;
   bool ld_cache_built_ = false;
-  // Scratch for probe_dirs (reused so the per-soname sweep allocates only
-  // on high-water growth).
-  std::vector<support::PathId> scratch_candidates_;
-  std::vector<std::size_t> scratch_candidate_dir_;
   // Active probe log during a load() (null when record_probes is off).
   std::vector<std::string>* probe_log_ = nullptr;
 

@@ -205,90 +205,67 @@ support::PathId Loader::intern_dir(std::string_view dir) const {
 Loader::DirRef Loader::dir_ref(std::string_view dir) const {
   DirRef ref;
   ref.id = intern_dir(dir);
-  if (ref.id == support::PathTable::kNone) ref.text = std::string(dir);
+  if (ref.id == support::PathTable::kNone) {
+    ref.text = vfs::normalize_path(dir.empty() || dir.front() != '/'
+                                       ? "/" + std::string(dir)
+                                       : std::string(dir));
+  }
   return ref;
+}
+
+namespace {
+
+std::string join_path(std::string_view dir, std::string_view name) {
+  std::string out(dir == "/" ? std::string_view{} : dir);
+  out += '/';
+  out += name;
+  return out;
+}
+
+}  // namespace
+
+bool Loader::probe_candidate(const DirRef& dir, const std::string& name,
+                             elf::Machine machine, std::string& path) {
+  if (dir.id == support::PathTable::kNone) {  // past the byte budget
+    path = join_path(dir.text, name);
+    return classify_probe(path, fs_.open(path), machine);
+  }
+  const vfs::FileData* data = fs_.open_child(dir.id, name);
+  if (data == nullptr && probe_log_ == nullptr) return false;
+  paths_->child_str(dir.id, name, path);
+  return classify_probe(path, data, machine);
 }
 
 Loader::DirProbe Loader::probe_dirs(std::span<const DirRef> dirs,
                                     const std::string& name,
                                     elf::Machine machine) {
-  // Lay out every candidate for this soname — hwcaps subdirectories before
-  // each plain dir, in dir order — then hand the whole sweep to the VFS as
-  // one batched call. Each attempt is charged exactly like a standalone
-  // open(2) probe, so counters and latency are byte-identical to the old
-  // dir-by-dir loop.
-  auto& candidates = scratch_candidates_;
-  auto& candidate_dir = scratch_candidate_dir_;
-  candidates.clear();
-  candidate_dir.clear();
   const bool hwcaps = policy_->probes_hwcaps();
-  bool interned = true;
-  for (std::size_t d = 0; d < dirs.size() && interned; ++d) {
-    if (dirs[d].id == support::PathTable::kNone) {
-      interned = false;
-      break;
-    }
-    if (hwcaps) {
-      for (const auto& hwcap : config_.hwcaps) {
-        const support::PathId sub = paths_->intern_under(dirs[d].id, hwcap);
-        const support::PathId cand =
-            sub != support::PathTable::kNone ? paths_->child(sub, name)
-                                             : support::PathTable::kNone;
-        if (cand == support::PathTable::kNone) {
-          interned = false;
-          break;
-        }
-        candidates.push_back(cand);
-        candidate_dir.push_back(d);
-      }
-      if (!interned) break;
-    }
-    const support::PathId cand = paths_->child(dirs[d].id, name);
-    if (cand == support::PathTable::kNone) {
-      interned = false;
-      break;
-    }
-    candidates.push_back(cand);
-    candidate_dir.push_back(d);
-  }
-  if (interned) {
-    const std::size_t hit = fs_.open_first(
-        candidates, [&](std::size_t i, const vfs::FileData* data) {
-          return classify_probe(paths_->str(candidates[i]), data, machine);
-        });
-    if (hit == vfs::FileSystem::npos) return DirProbe{};
-    return DirProbe{candidate_dir[hit], candidates[hit],
-                    paths_->str(candidates[hit])};
-  }
-  // Interner byte budget exhausted mid-layout (nothing has been probed
-  // yet): sweep the same candidates as strings — one counted open(2) per
-  // attempt, same order, same probe-log spelling, no interning.
-  const auto dir_text = [&](const DirRef& ref) {
-    if (ref.id != support::PathTable::kNone) return paths_->str(ref.id);
-    return vfs::normalize_path(ref.text.empty() || ref.text.front() != '/'
-                                   ? "/" + ref.text
-                                   : ref.text);
+  std::string path;
+  const auto found = [&](std::size_t d, const DirRef& dir) {
+    const support::PathId id = dir.id != support::PathTable::kNone
+                                   ? paths_->child(dir.id, name)
+                                   : support::PathTable::kNone;
+    return DirProbe{d, id, std::move(path)};
   };
   for (std::size_t d = 0; d < dirs.size(); ++d) {
-    const std::string base = dir_text(dirs[d]);
-    const auto join = [&](std::string_view a, std::string_view b) {
-      std::string out(a == "/" ? std::string_view{} : a);
-      out += '/';
-      out += b;
-      return out;
-    };
-    const auto try_path = [&](const std::string& path) {
-      const vfs::FileData* data = fs_.open(path);  // counted, budget-safe
-      return classify_probe(path, data, machine);
-    };
     if (hwcaps) {
       for (const auto& hwcap : config_.hwcaps) {
-        const std::string path = join(join(base, hwcap), name);
-        if (try_path(path)) return DirProbe{d, support::PathTable::kNone, path};
+        DirRef sub;
+        if (dirs[d].id != support::PathTable::kNone) {
+          sub.id = paths_->intern_under(dirs[d].id, hwcap);
+        }
+        if (sub.id == support::PathTable::kNone) {
+          sub.text = join_path(dirs[d].id != support::PathTable::kNone
+                                   ? paths_->str(dirs[d].id)
+                                   : dirs[d].text,
+                               hwcap);
+        }
+        if (probe_candidate(sub, name, machine, path)) return found(d, sub);
       }
     }
-    const std::string path = join(base, name);
-    if (try_path(path)) return DirProbe{d, support::PathTable::kNone, path};
+    if (probe_candidate(dirs[d], name, machine, path)) {
+      return found(d, dirs[d]);
+    }
   }
   return DirProbe{};
 }
@@ -319,47 +296,28 @@ void Loader::ensure_ld_cache() {
   scan(config_.default_paths, HowFound::DefaultPath);
 }
 
-std::vector<Loader::DirRef> Loader::effective_rpath_chain(
-    const Session& session, std::size_t requester_index,
-    std::size_t& own_count) const {
-  // Non-melding (glibc, Table I): DT_RPATH of the requester, then of each
-  // ancestor up to the executable. Any object carrying DT_RUNPATH
-  // contributes nothing from its DT_RPATH, and a requester with DT_RUNPATH
-  // disables the whole chain. Melding (musl, §IV): RPATH and RUNPATH of
-  // every link in the ancestry, both propagated. Entries come back as
-  // interned dir ids — $ORIGIN expansion is the only string work left, and
-  // only for entries that actually carry a DST.
+const std::vector<Loader::DirRef>& Loader::rpath_segment(
+    Session& session, std::size_t index) const {
+  // Non-melding (glibc, Table I): an object carrying DT_RUNPATH
+  // contributes nothing from its DT_RPATH. Melding (musl, §IV): RPATH and
+  // RUNPATH of every link, both propagated. $ORIGIN expansion is the only
+  // string work, and only for entries that actually carry a DST.
+  auto [it, inserted] = session.rpath_segments.try_emplace(index);
+  std::vector<DirRef>& dirs = it->second;
+  if (!inserted) return dirs;
+  const LoadedObject& node = session.report.load_order[index];
+  if (!node.object) return dirs;
   const bool meld = policy_->melds_rpath_runpath();
-  std::vector<DirRef> dirs;
-  own_count = 0;
-  const auto& order = session.report.load_order;
-  const LoadedObject& requester = order[requester_index];
-  if (!requester.object) return dirs;
-  if (!meld && !requester.object->dyn.runpath.empty()) {
-    return dirs;  // DT_RUNPATH present: RPATH protocol disabled
-  }
-  std::int64_t index = static_cast<std::int64_t>(requester_index);
-  bool first = true;
   std::string storage;
-  while (index >= 0) {
-    const LoadedObject& node = order[static_cast<std::size_t>(index)];
-    if (node.object) {
-      const bool has_runpath = !node.object->dyn.runpath.empty();
-      if (meld || !has_runpath) {
-        for (const auto& dir : node.object->dyn.rpath) {
-          dirs.push_back(dir_ref(expand_origin(dir, node.path, storage)));
-          if (first) ++own_count;
-        }
-      }
-      if (meld) {
-        for (const auto& dir : node.object->dyn.runpath) {
-          dirs.push_back(dir_ref(expand_origin(dir, node.path, storage)));
-          if (first) ++own_count;
-        }
-      }
+  if (meld || node.object->dyn.runpath.empty()) {
+    for (const auto& dir : node.object->dyn.rpath) {
+      dirs.push_back(dir_ref(expand_origin(dir, node.path, storage)));
     }
-    first = false;
-    index = node.parent_index;
+  }
+  if (meld) {
+    for (const auto& dir : node.object->dyn.runpath) {
+      dirs.push_back(dir_ref(expand_origin(dir, node.path, storage)));
+    }
   }
   return dirs;
 }
@@ -466,24 +424,35 @@ Loader::Resolution Loader::search_phase(SearchPhase phase, Session& session,
                                         elf::Machine machine) {
   const LoadedObject& requester =
       session.report.load_order[requester_index];
-  // Each phase lays out its full candidate sweep and issues it as one
-  // batched probe call; the accepting dir index maps back to the
-  // phase-specific HowFound label.
+  // Each phase sweeps its search dirs in order; the accepting dir index
+  // maps back to the phase-specific HowFound label.
   switch (phase) {
     case SearchPhase::RpathChain: {
-      std::size_t own = 0;
-      const auto chain = effective_rpath_chain(session, requester_index, own);
-      DirProbe hit = probe_dirs(chain, name, machine);
-      if (!hit.found()) return Resolution{{}, HowFound::NotFound};
-      // Melding dialects historically label only the first own entry as
-      // the requester's rpath (musl has no RPATH/RUNPATH distinction to
-      // report); non-melding labels every own DT_RPATH entry.
-      const bool own_hit = policy_->melds_rpath_runpath()
-                               ? (hit.dir == 0 && own > 0)
-                               : (hit.dir < own);
-      return Resolution{std::move(hit.path),
-                        own_hit ? HowFound::Rpath : HowFound::RpathAncestor,
-                        hit.id};
+      // The requester's segment, then each ancestor's up to the
+      // executable. Non-melding, a requester with DT_RUNPATH disables the
+      // whole chain.
+      const bool meld = policy_->melds_rpath_runpath();
+      if (!requester.object ||
+          (!meld && !requester.object->dyn.runpath.empty())) {
+        return Resolution{{}, HowFound::NotFound};
+      }
+      const auto& order = session.report.load_order;
+      for (auto index = static_cast<std::int64_t>(requester_index);
+           index >= 0; index = order[static_cast<std::size_t>(index)]
+                                   .parent_index) {
+        const auto node = static_cast<std::size_t>(index);
+        DirProbe hit = probe_dirs(rpath_segment(session, node), name, machine);
+        if (!hit.found()) continue;
+        // Melding dialects historically label only the first own entry as
+        // the requester's rpath (musl has no RPATH/RUNPATH distinction to
+        // report); non-melding labels every own DT_RPATH entry.
+        const bool own_hit =
+            node == requester_index && (!meld || hit.dir == 0);
+        return Resolution{std::move(hit.path),
+                          own_hit ? HowFound::Rpath : HowFound::RpathAncestor,
+                          hit.id};
+      }
+      return Resolution{{}, HowFound::NotFound};
     }
     case SearchPhase::LdLibraryPath: {
       std::vector<DirRef> dirs;
@@ -518,8 +487,8 @@ Loader::Resolution Loader::search_phase(SearchPhase phase, Session& session,
         }
         return Resolution{{}, HowFound::NotFound};
       }
-      // No cache: sweep ld.so.conf dirs then the trusted defaults as one
-      // batch; the boundary index decides the label.
+      // No cache: sweep ld.so.conf dirs then the trusted defaults; the
+      // boundary index decides the label.
       std::vector<DirRef> dirs;
       dirs.reserve(config_.ld_so_conf.size() + config_.default_paths.size());
       for (const auto& dir : config_.ld_so_conf) {
@@ -642,7 +611,7 @@ LoadReport Loader::load(const std::string& exe_path, const Environment& env) {
 
   session.report.stats = stats_delta(before, fs_.stats());
   probe_log_ = nullptr;
-  return session.report;
+  return std::move(session.report);
 }
 
 void Loader::process_request(Session& session, const WorkItem& item,

@@ -23,8 +23,10 @@
 // so concurrent cold-path interns of unrelated paths no longer queue on
 // one table-wide write lock.
 //
-// Growth bound: adversarial workloads (randomized probe storms) intern
-// every miss, so the table supports an optional byte budget
+// Growth bound: the loader's candidate storm interns only what it finds
+// (vfs::FileSystem::open_child charges a miss without interning it), but
+// adversarial workloads can still intern without limit, so the table
+// supports an optional byte budget
 // (set_byte_budget). Past the cap, interning a NEW path returns kNone
 // instead of allocating — already-interned paths keep resolving — and the
 // resolution layers (vfs::FileSystem, loader candidate probes) fall back
@@ -76,6 +78,11 @@ class PathTable {
   /// `dir`. `name` must not contain '/'. Returns kNone when `name` is new
   /// under `dir` and the byte budget is exhausted.
   PathId child(PathId dir, std::string_view name);
+
+  /// The path child(dir, name) names, written into `out` (its capacity
+  /// reused) without interning anything: the spelling of a candidate that
+  /// may never be interned.
+  void child_str(PathId dir, std::string_view name, std::string& out) const;
 
   /// Optional growth cap: once bytes_used() would exceed the budget,
   /// intern/intern_under/child return kNone for paths not already in the

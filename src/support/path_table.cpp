@@ -96,6 +96,19 @@ PathId PathTable::child(PathId dir, std::string_view name) {
   return intern_child(dir, name);
 }
 
+void PathTable::child_str(PathId dir, std::string_view name,
+                          std::string& out) const {
+  if (name.empty() || name == ".") {
+    out = str(dir);
+  } else if (name == "..") {
+    out = str(parent(dir));
+  } else {
+    out.assign(dir == kRoot ? std::string_view{} : std::string_view(str(dir)));
+    out += '/';
+    out += name;
+  }
+}
+
 PathId PathTable::intern_under(PathId base, std::string_view relative) {
   PathId cur = base;
   std::size_t pos = 0;

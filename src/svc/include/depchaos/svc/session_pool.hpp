@@ -46,9 +46,11 @@
 // charge log — (op, hit, shared-vs-node-local route, path) for every
 // latency-charged operation — alongside the warmth-INDEPENDENT report
 // fields. A memo hit then replays that log through the hitting client's
-// own latency models: sim_time_s comes out exactly as if the client had
-// executed the load (including warming its attribute cache for subsequent
-// requests), while the resolution work is still done once fleet-wide.
+// own latency models and accounting — the fork's counters and running
+// sim_time_s advance op by op, and the hit reports after − before — so
+// its report is byte-identical to executing the load on that fork
+// (including warming its attribute cache for subsequent requests), while
+// the resolution work is still done once fleet-wide.
 // Model-free pools keep the zero-copy shared-report fast path.
 //
 // Backpressure: each shard's queue is bounded; past the high-water mark

@@ -72,14 +72,19 @@ class RecordingModel final : public vfs::LatencyModel {
   std::vector<ChargeRec>* log_;
 };
 
-/// Replay a recorded charge log against `fs`'s installed models,
-/// mirroring FileSystem::charge's routing: node-local records price
-/// through the local model (lazily a default LocalDiskModel, exactly like
-/// charge), everything else through the shared model. Returns the total
-/// simulated seconds — the hit's re-priced sim_time_s.
-double replay_charges(vfs::FileSystem& fs,
+/// Account a memo hit on `fs` exactly as executing the load would have:
+/// the report's op `counts` advance the fork's counters, and each recorded
+/// charge is priced through `fs`'s installed models — mirroring
+/// FileSystem::charge's routing: node-local records through the local
+/// model (lazily a default LocalDiskModel, exactly like charge),
+/// everything else through the shared model — and added to the fork's
+/// running sim_time_s one op at a time. Returns the load's sim_time_s the
+/// way an executed load reports it: the running total's after − before.
+double replay_charges(vfs::FileSystem& fs, const vfs::SyscallStats& counts,
                       const std::vector<ChargeRec>& log) {
-  double total = 0;
+  vfs::SyscallStats& stats = fs.stats();
+  const double before = stats.sim_time_s;
+  double total = before;
   for (const ChargeRec& rec : log) {
     if (rec.local) {
       if (!fs.local_latency_model_ptr()) {
@@ -90,7 +95,9 @@ double replay_charges(vfs::FileSystem& fs,
       total += model->cost(rec.op, rec.hit, rec.path);
     }
   }
-  return total;
+  stats += counts;
+  stats.sim_time_s = total;
+  return total - before;
 }
 
 }  // namespace
@@ -496,8 +503,8 @@ void SessionPool::execute(Shard& shard, Command& command) {
           memo.hits.fetch_add(1, std::memory_order_relaxed);
           if (!entry.charges) return entry.report;
           auto priced = std::make_shared<loader::LoadReport>(*entry.report);
-          priced->stats.sim_time_s =
-              replay_charges(ensure_session().fs(), *entry.charges);
+          priced->stats.sim_time_s = replay_charges(
+              ensure_session().fs(), entry.report->stats, *entry.charges);
           return priced;
         }
       }

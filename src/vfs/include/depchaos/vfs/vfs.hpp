@@ -107,7 +107,6 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <span>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -361,23 +360,15 @@ class FileSystem {
   const FileData* open(std::string_view path);
   const FileData* open(PathId id);
 
-  /// Batched counted probe — the loader's candidate storm as ONE call.
-  /// Opens candidates in order, charging exactly one open(2) per attempt
-  /// (identical counters and latency to individual open() calls), invoking
-  /// `visit(index, data)` for each — data is null for a missing or
-  /// non-regular path — until `visit` returns true. Returns the accepting
-  /// index, or npos when every candidate was visited without acceptance.
-  /// Templated so the per-sweep visitor stays a direct, allocation-free
-  /// call (this IS the hot path the interner exists for).
-  static constexpr std::size_t npos = static_cast<std::size_t>(-1);
-  template <typename Visit>
-  std::size_t open_first(std::span<const PathId> candidates, Visit&& visit) {
-    for (std::size_t i = 0; i < candidates.size(); ++i) {
-      const FileData* data = open(candidates[i]);
-      if (visit(i, data)) return i;
-    }
-    return npos;
-  }
+  /// open(paths().child(dir, name)) — the loader's candidate probe —
+  /// without interning the candidate. `dir` resolves through the dentry
+  /// cache; when `name` is plainly absent (no such entry, `dir` missing or
+  /// not a directory) the miss is charged exactly as that open() charges
+  /// it, same path string, and nothing is interned or memoized. Every
+  /// other case (a hit, a symlink, a mount, "."/".."/"", ELOOP, a
+  /// byte-budget refusal) takes the open(PathId) walk. `dir` must be an
+  /// interned id (not kNone) and `name` must not contain '/'.
+  const FileData* open_child(PathId dir, std::string_view name);
 
   /// Read after open: counted separately (data vs metadata traffic).
   void count_read(std::string_view path);
@@ -617,6 +608,10 @@ class FileSystem {
 
   /// Tagged child lookup: `name` inside directory `dir`, 0 on miss.
   InodeNum child_of(InodeNum dir, std::string_view name) const;
+  /// One component step of a walk: the entry `name` inside the resolved
+  /// inode `dir`, 0 when `dir` is 0, not a directory, or has no such
+  /// entry. Symlinks and mountpoints come back unexpanded.
+  InodeNum step(InodeNum dir, std::string_view name) const;
   /// Root of the topmost active mount at canonical path `canon`, or 0.
   InodeNum mount_root_at(PathId canon) const;
   /// The namespace root: "/" itself, honoring a mount over "/".
@@ -765,6 +760,8 @@ class FileSystem {
   MetaBreakdown* breakdown_ = nullptr;
   // Measured op-stream sink (set_op_trace); never inherited.
   OpTrace* trace_ = nullptr;
+  // open_child's miss spelling, reused so a failed probe does not allocate.
+  std::string probe_path_;
 
   // The mount table (empty for ordinary worlds; every operation above is
   // zero-overhead then). `mount_at_` maps a canonical mountpoint PathId to

@@ -329,6 +329,11 @@ InodeNum FileSystem::child_of(InodeNum dir, std::string_view name) const {
   return local == 0 ? 0 : tag_like(dir, local);
 }
 
+InodeNum FileSystem::step(InodeNum dir, std::string_view name) const {
+  if (dir == 0 || node(dir).type != NodeType::Directory) return 0;
+  return child_of(dir, name);
+}
+
 InodeNum FileSystem::mount_root_at(PathId canon) const {
   if (mount_at_.empty() || canon == kNoPath) return 0;
   const auto it = mount_at_.find(canon);
@@ -677,39 +682,36 @@ InodeNum FileSystem::resolve_id(PathId id, bool follow_final, int& hops,
     hops = hops_before;
     return resolve_fallback(id, follow_final, hops, canonical);
   }
-  if (dir_ino != 0 && node(dir_ino).type == NodeType::Directory) {
-    const InodeNum child = child_of(dir_ino, paths_->name(id));
-    if (child != 0) {
-      if (node(child).type == NodeType::Symlink && follow_final) {
-        if (++hops > kMaxSymlinkHops) {
-          throw FsError("too many levels of symbolic links");
-        }
-        // Absolute targets restart from the root; relative targets resolve
-        // lexically against the link's (canonical) directory — exactly
-        // normalize_path(dir + "/" + target), without building the string.
-        const std::string& target = node(child).link_target;
-        const PathId target_id =
-            (!target.empty() && target.front() == '/')
-                ? paths_->intern(target)
-                : paths_->intern_under(dir_canon, target);
-        if (target_id == PathTable::kNone) {  // byte budget exhausted
-          hops = hops_before;
-          return resolve_fallback(id, follow_final, hops, canonical);
-        }
-        result = resolve_id(target_id, /*follow_final=*/true, hops,
-                            &result_canon);
-      } else {
-        result = child;
-        result_canon = paths_->child(dir_canon, paths_->name(id));
-        if (result_canon == PathTable::kNone) {  // byte budget exhausted
-          hops = hops_before;
-          return resolve_fallback(id, follow_final, hops, canonical);
-        }
-        // Crossing a mount boundary: the topmost mounted root replaces
-        // the underlying directory its mount now shadows.
-        if (const InodeNum mroot = mount_root_at(result_canon)) {
-          result = mroot;
-        }
+  if (const InodeNum child = step(dir_ino, paths_->name(id)); child != 0) {
+    if (node(child).type == NodeType::Symlink && follow_final) {
+      if (++hops > kMaxSymlinkHops) {
+        throw FsError("too many levels of symbolic links");
+      }
+      // Absolute targets restart from the root; relative targets resolve
+      // lexically against the link's (canonical) directory — exactly
+      // normalize_path(dir + "/" + target), without building the string.
+      const std::string& target = node(child).link_target;
+      const PathId target_id =
+          (!target.empty() && target.front() == '/')
+              ? paths_->intern(target)
+              : paths_->intern_under(dir_canon, target);
+      if (target_id == PathTable::kNone) {  // byte budget exhausted
+        hops = hops_before;
+        return resolve_fallback(id, follow_final, hops, canonical);
+      }
+      result = resolve_id(target_id, /*follow_final=*/true, hops,
+                          &result_canon);
+    } else {
+      result = child;
+      result_canon = paths_->child(dir_canon, paths_->name(id));
+      if (result_canon == PathTable::kNone) {  // byte budget exhausted
+        hops = hops_before;
+        return resolve_fallback(id, follow_final, hops, canonical);
+      }
+      // Crossing a mount boundary: the topmost mounted root replaces
+      // the underlying directory its mount now shadows.
+      if (const InodeNum mroot = mount_root_at(result_canon)) {
+        result = mroot;
       }
     }
   }
@@ -1369,6 +1371,34 @@ const FileData* FileSystem::open(PathId id) {
   charge(OpKind::Open, hit, paths_->str(id), ino);
   if (!hit) return nullptr;
   return &node(ino).data;
+}
+
+const FileData* FileSystem::open_child(PathId dir, std::string_view name) {
+  if (!name.empty() && name != "." && name != "..") {
+    InodeNum dir_ino = 0;
+    PathId dir_canon = kNoPath;
+    bool walked = true;
+    try {
+      int hops = 0;
+      dir_ino = resolve_id(dir, /*follow_final=*/true, hops, &dir_canon);
+    } catch (const FsError&) {
+      walked = false;  // ELOOP: the full walk charges it
+    }
+    // A plain miss: the walk of dir/name would stop at this step with
+    // nothing to follow, so charge its open(2) and keep nothing.
+    if (walked && (dir_ino == 0 || dir_canon != kNoPath) &&
+        step(dir_ino, name) == 0) {
+      paths_->child_str(dir, name, probe_path_);
+      charge(OpKind::Open, /*hit=*/false, probe_path_);
+      return nullptr;
+    }
+  }
+  if (const PathId id = paths_->child(dir, name); id != kNoPath) {
+    return open(id);
+  }
+  std::string path;  // byte budget exhausted: the uncached string walk
+  paths_->child_str(dir, name, path);
+  return open(path);
 }
 
 void FileSystem::count_read(std::string_view path) {

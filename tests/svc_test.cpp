@@ -19,6 +19,7 @@
 #include "depchaos/elf/patcher.hpp"
 #include "depchaos/launch/launch.hpp"
 #include "depchaos/svc/session_pool.hpp"
+#include "depchaos/svc/wire.hpp"
 #include "depchaos/workload/pynamic.hpp"
 
 namespace depchaos::svc {
@@ -193,6 +194,43 @@ TEST(SessionPool, MemoizationStaysOnUnderLatencyModelWithRepricing) {
   EXPECT_EQ(stats.memoized, 2u);  // warm + other were memo-served
   EXPECT_EQ(stats.memo_hits, 2u);
   EXPECT_GE(stats.memo_misses, 1u);
+}
+
+// A memo hit is accounted on the client's fork like an executed load: its
+// counters and running sim_time_s advance, and the hit reports the running
+// total's after − before. Hits on a fork that already carries prior loads
+// must therefore encode byte-identically to a direct fork's loads.
+TEST(SessionPool, MemoHitsAfterPriorLoadsEncodeLikeADirectFork) {
+  WorldBuilder twin_a;
+  const auto exes = install_fleet(twin_a, 3);
+  WorldBuilder twin_b;
+  install_fleet(twin_b, 3);
+
+  Session base = twin_b.build();
+  base.fs().set_latency_model(std::make_shared<vfs::NfsModel>());
+  SessionPool pool(std::move(base));
+  ASSERT_TRUE(pool.repricing_active());
+  // Client 2 fills the memo; client 1 then misses once and hits three
+  // times, each hit on a fork whose running total is already non-zero.
+  pool.submit_load(2, exes[1]).get();
+  pool.submit_load(2, exes[2]).get();
+  const std::vector<std::string> script = {exes[0], exes[1], exes[2],
+                                           exes[1], exes[0]};
+  std::vector<std::string> served;
+  for (const auto& exe : script) {
+    served.push_back(encode_load_report(pool.submit_load(1, exe).get()));
+  }
+  pool.drain();  // counters update after promises are fulfilled
+  EXPECT_EQ(pool.stats().memo_hits, 4u);
+
+  Session reference = twin_a.build();
+  reference.fs().set_latency_model(std::make_shared<vfs::NfsModel>());
+  reference.seal();  // mirror the pool's ctor seal
+  Session direct = reference.fork_sealed();
+  for (std::size_t i = 0; i < script.size(); ++i) {
+    EXPECT_EQ(served[i], encode_load_report(direct.load(script[i])))
+        << "load " << i << " of " << script[i];
+  }
 }
 
 TEST(SessionPool, ShrinkwrapIsolatedPerClientAndFifoOrdered) {
