@@ -1,6 +1,7 @@
 #include "depchaos/elf/object.hpp"
 
 #include <algorithm>
+#include <charconv>
 
 #include "depchaos/support/strings.hpp"
 
@@ -143,13 +144,13 @@ Object parse(std::string_view bytes) {
   Object object;
   object.kind = ObjectKind::SharedObject;
   bool saw_end = false;
-  bool first = true;
-  for (const auto& raw_line : support::split(bytes, '\n')) {
-    const std::string_view line = support::trim(raw_line);
-    if (first) {
-      first = false;
-      continue;  // magic
-    }
+  // Line by line over views of `bytes`, past the magic line.
+  for (std::size_t next = bytes.find('\n') + 1; next <= bytes.size();) {
+    std::size_t stop = bytes.find('\n', next);
+    if (stop == std::string_view::npos) stop = bytes.size();
+    const std::string_view line =
+        support::trim(bytes.substr(next, stop - next));
+    next = stop + 1;
     if (line.empty()) continue;
     if (saw_end) {
       throw ElfError("trailing content after 'end'");
@@ -230,7 +231,13 @@ Object parse(std::string_view bytes) {
     } else if (key == "dlopen") {
       object.dlopen_names.emplace_back(value);
     } else if (key == "extra") {
-      object.extra_size = std::stoull(std::string(value));
+      // Digits only: no sign, no garbage, no overflow past 64 bits.
+      const char* end = value.data() + value.size();
+      const auto [stop, ec] =
+          std::from_chars(value.data(), end, object.extra_size);
+      if (ec != std::errc{} || stop != end) {
+        throw ElfError("bad extra size: '" + std::string(value) + "'");
+      }
     } else {
       throw ElfError("unknown field: '" + std::string(key) + "'");
     }

@@ -34,7 +34,6 @@
 #include <deque>
 #include <memory>
 #include <optional>
-#include <span>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -174,31 +173,44 @@ class Loader {
   Dialect dialect() const { return dialect_; }
 
  private:
+  /// A candidate the search reached. A found library is carried by its
+  /// ids from the probe that accepted it to registration: nothing
+  /// re-interns, re-walks or re-parses it.
   struct Resolution {
     std::string path;
     HowFound how = HowFound::NotFound;
-    /// Interned id of `path` when the resolver produced one (probe reuse);
-    /// kNone for paths carried through verbatim (app cache, preloads) or
-    /// produced past the interner's byte budget.
+    /// Interned id of `path`; kNone for a path past the interner's byte
+    /// budget (it is then probed by string).
     support::PathId id = support::PathTable::kNone;
+    /// Canonical (symlink-free) id, set when a probe opens the candidate:
+    /// the inode-proxy dedup key and the parsed-object cache key. kNone
+    /// past the byte budget.
+    support::PathId canon = support::PathTable::kNone;
+    /// The parsed object an accepted probe read (from the cache).
+    std::shared_ptr<const elf::Object> object;
   };
 
-  /// A search directory for probe_dirs: interned on the fast path; `text`
-  /// carries the normalized spelling only when interning hit the
-  /// PathTable's byte budget (candidates are then probed by string).
+  /// One search directory of a load: interned, or past the byte budget
+  /// carried by its normalized spelling (candidates are then probed by
+  /// string). glibc-hwcaps subdirectories are entries of their own, ahead
+  /// of their plain directory and sharing its `source`.
   struct DirRef {
     support::PathId id = support::PathTable::kNone;
     std::string text;
+    /// Index of the search-path entry this directory comes from.
+    std::size_t source = 0;
+    /// FileSystem::open_dir of `id`, taken at the first probe. Valid for
+    /// this load only: the list holding it is per-load state.
+    std::optional<vfs::FileSystem::Dir> handle;
   };
+  using DirList = std::vector<DirRef>;
 
-  /// Outcome of a directory sweep: which search dir accepted the
-  /// candidate (index into the swept dir list), the candidate's id (kNone
-  /// when it was probed by string past the byte budget), and its path.
+  /// Outcome of a directory sweep: the `source` of the directory that
+  /// accepted the candidate, and the candidate itself.
   static constexpr std::size_t kNoDir = static_cast<std::size_t>(-1);
   struct DirProbe {
     std::size_t dir = kNoDir;
-    support::PathId id = support::PathTable::kNone;
-    std::string path;
+    Resolution res;
     bool found() const { return dir != kNoDir; }
   };
 
@@ -212,63 +224,81 @@ class Loader {
   struct Session {
     LoadReport report;
     // Dedup indices into report.load_order. Names and sonames are request
-    // strings; the inode-proxy map is keyed by interned canonical PathId,
-    // with a string-keyed sibling for real paths that could not be
-    // interned past the byte budget (a path interns to the same id — or
-    // consistently fails — every time, so the two maps never alias).
+    // strings; the inode-proxy map is keyed by canonical PathId, with a
+    // string-keyed sibling for real paths that could not be interned past
+    // the byte budget (a path interns to the same id — or consistently
+    // fails — every time, so the two maps never alias).
     std::unordered_map<std::string, std::size_t> by_name;      // request str
     std::unordered_map<std::string, std::size_t> by_soname;    // DT_SONAME
     std::unordered_map<support::PathId, std::size_t> by_realpath;
     std::unordered_map<std::string, std::size_t> by_realpath_str;
     // Parsed per-application loader cache ("" when absent/disabled).
     std::unordered_map<std::string, std::string> app_cache;
-    // rpath_segment's memo, keyed by load_order index (node-based, so a
-    // segment stays put while later ones are added).
-    std::unordered_map<std::size_t, std::vector<DirRef>> rpath_segments;
+    // The load's search directories, built on first use: each
+    // load_order entry's RPATH segment and RUNPATH (node-based maps, so a
+    // list stays put while later ones are added), LD_LIBRARY_PATH, and
+    // the system dirs swept without ld.so.cache.
+    std::unordered_map<std::size_t, DirList> rpath_segments;
+    std::unordered_map<std::size_t, DirList> runpaths;
+    std::optional<DirList> library_path;
+    std::optional<DirList> system_dirs;
     const Environment* env = nullptr;
   };
 
-  std::shared_ptr<const elf::Object> fetch_object(const std::string& path,
-                                                  bool count_read);
+  /// The parsed object behind `data`, at most one parse per cache key
+  /// (canonical id, else the id; kNone parses uncached). Null when `data`
+  /// is not a SELF image; throws ElfError when it is a malformed one.
+  std::shared_ptr<const elf::Object> parsed_object(
+      const Resolution& res, const vfs::FileData& data);
+  /// Charge the read of a found object, by id or (past the byte budget)
+  /// by string.
+  void count_read(support::PathId id, const std::string& path);
+  /// The canonical spelling of a found path for LoadedObject::real_path.
+  /// Past the byte budget (no canonical id) it walks the string and sets
+  /// `res.canon` to the id the spelling interns to, if any.
+  std::string real_path_of(Resolution& res) const;
   std::optional<std::size_t> dedup_lookup(Session& session,
                                           const std::string& name) const;
-  /// The inode-proxy dedup invariant in one place: a real path keys
-  /// by_realpath when it interns, by_realpath_str when the byte budget
-  /// refuses it — and a given path lands in the same map every time.
-  void note_realpath(Session& session, const std::string& real_path,
-                     std::size_t index) const;
+  /// The inode-proxy dedup invariant in one place: a canonical id keys
+  /// by_realpath, a real path past the byte budget by_realpath_str.
+  void note_realpath(Session& session, support::PathId canon,
+                     const std::string& real_path, std::size_t index) const;
   std::optional<std::size_t> find_realpath(const Session& session,
+                                           support::PathId canon,
                                            const std::string& real_path) const;
   Resolution search(Session& session, const std::string& name,
                     std::size_t requester_index);
   /// Intern a search directory: absolute dirs directly, relative dirs (a
   /// historic security hole) resolved against / — functional but
-  /// unremarkable, as before. kNone past the interner byte budget.
-  support::PathId intern_dir(std::string_view dir) const;
-  /// intern_dir + the original spelling kept for the budget fallback.
+  /// unremarkable, as before. Past the interner byte budget the id is
+  /// kNone and `text` keeps the normalized spelling.
   DirRef dir_ref(std::string_view dir) const;
-  /// Sweep `dirs` for `name`, hwcaps subdirectories before each plain dir,
-  /// probing each candidate as it is reached and stopping at the first
-  /// accepted one. Each attempt is one counted open(2).
-  DirProbe probe_dirs(std::span<const DirRef> dirs, const std::string& name,
+  /// Append `entries` to `dirs`, each the next source, $ORIGIN-expanded
+  /// against `origin_of` when given, and each preceded by its hwcaps
+  /// subdirs when the policy probes them.
+  void add_search_dirs(DirList& dirs, const std::vector<std::string>& entries,
+                       const std::string* origin_of) const;
+  /// Sweep `dirs` for `name`, probing each candidate as it is reached and
+  /// stopping at the first accepted one. Each attempt is one counted
+  /// open(2).
+  DirProbe probe_dirs(DirList& dirs, const std::string& name,
                       elf::Machine machine);
   /// Probe `name` inside `dir` through FileSystem::open_child, so a miss
   /// interns nothing and builds no string unless the probe log wants it.
-  /// `path` receives the candidate's spelling on a hit or a logged probe.
-  bool probe_candidate(const DirRef& dir, const std::string& name,
-                       elf::Machine machine, std::string& path);
+  bool probe_candidate(DirRef& dir, const std::string& name,
+                       elf::Machine machine, Resolution& res);
   /// Shared probe verdict: ELF magic + architecture checks with LD_DEBUG
-  /// style logging. `data` is the already-opened candidate (null = ENOENT).
-  bool classify_probe(const std::string& path, const vfs::FileData* data,
+  /// style logging of `res.path`. `data` is the opened candidate (null =
+  /// ENOENT); an opened one gets `res.canon` and `res.object`.
+  bool classify_probe(Resolution& res, const vfs::FileData* data,
                       elf::Machine machine);
-  /// Single ELF-validity probe of one candidate. `log_as` overrides the
-  /// probe-log spelling (paths carried verbatim from caches/preloads keep
-  /// their original bytes); by default the interned string is logged.
-  bool probe_file(support::PathId id, elf::Machine machine,
-                  const std::string* log_as = nullptr);
-  bool probe_file(const std::string& path, elf::Machine machine);
+  /// Single ELF-validity probe of `res` (by id, or by string when the id
+  /// is kNone). `res.path` is the probe-log spelling: paths carried
+  /// verbatim from caches/preloads keep their original bytes.
+  bool probe_file(Resolution& res, elf::Machine machine);
   void ensure_ld_cache();
-  std::size_t register_object(Session& session, LoadedObject loaded);
+  std::size_t register_object(Session& session, LoadedObject loaded,
+                              support::PathId canon);
   void process_request(Session& session, const WorkItem& item,
                        std::deque<WorkItem>& queue);
   void enqueue_needed_deque(Session& session, std::size_t index,
@@ -281,12 +311,13 @@ class Loader {
   /// when melding — $ORIGIN-expanded and interned on first use, then
   /// memoized for the rest of the load. A requester's effective chain is
   /// its own segment followed by each ancestor's.
-  const std::vector<DirRef>& rpath_segment(Session& session,
-                                           std::size_t index) const;
+  DirList& rpath_segment(Session& session, std::size_t index) const;
 
-  /// Expand $ORIGIN/${ORIGIN} in one pass. Returns `entry` itself when
-  /// there is nothing to expand (no allocation — the common case), else a
-  /// view of `storage` holding the expansion.
+  /// Expand $ORIGIN/${ORIGIN} in one pass (glibc's is_dst: an unbraced
+  /// $ORIGIN is a token only when no identifier character follows).
+  /// Returns `entry` itself when there is nothing to expand (no
+  /// allocation — the common case), else a view of `storage` holding the
+  /// expansion.
   static std::string_view expand_origin(std::string_view entry,
                                         std::string_view object_path,
                                         std::string& storage);
@@ -298,14 +329,20 @@ class Loader {
   SearchConfig config_;
   std::shared_ptr<const SearchPolicy> policy_;
   Dialect dialect_;
-  // Parsed-object cache keyed by canonical PathId (never invalidated:
-  // loads are read-only with respect to binaries; Patcher edits go through
-  // the VFS, so tests that patch then reload construct a fresh Loader or
-  // call invalidate()).
+  // Parsed-object cache keyed by canonical PathId, read by every probe
+  // that opens a candidate (never invalidated: loads are read-only with
+  // respect to binaries; Patcher edits go through the VFS, so tests that
+  // patch then reload construct a fresh Loader or call invalidate()).
   std::unordered_map<support::PathId, std::shared_ptr<const elf::Object>>
       cache_;
-  // ld.so.cache: name -> (path, from ld_so_conf or default).
-  std::unordered_map<std::string, Resolution> ld_cache_;
+  // ld.so.cache: name -> (path, from ld_so_conf or default). A lean entry,
+  // not a Resolution: every fork copies the map (adopt_caches).
+  struct CachedLib {
+    std::string path;
+    support::PathId id = support::PathTable::kNone;
+    HowFound how = HowFound::NotFound;
+  };
+  std::unordered_map<std::string, CachedLib> ld_cache_;
   bool ld_cache_built_ = false;
   // Active probe log during a load() (null when record_probes is off).
   std::vector<std::string>* probe_log_ = nullptr;

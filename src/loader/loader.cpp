@@ -95,7 +95,13 @@ std::string_view Loader::expand_origin(std::string_view entry,
   // Single pass over the entry: both spellings are recognized at each '$'
   // (they cannot overlap), the origin is computed only when a token
   // actually matches, and an entry without one is returned as-is — no
-  // allocation on the overwhelmingly common no-DST path.
+  // allocation on the overwhelmingly common no-DST path. Like glibc's
+  // is_dst, "$ORIGINAL" is no token: an unbraced name ends where the
+  // identifier does.
+  const auto ident = [](char c) {
+    return (c >= 'A' && c <= 'Z') || (c >= 'a' && c <= 'z') ||
+           (c >= '0' && c <= '9') || c == '_';
+  };
   std::string origin;
   bool expanding = false;
   std::size_t copied = 0;  // start of the not-yet-copied tail
@@ -105,7 +111,8 @@ std::string_view Loader::expand_origin(std::string_view entry,
     std::size_t token = 0;
     if (rest.starts_with("${ORIGIN}")) {
       token = 9;
-    } else if (rest.starts_with("$ORIGIN")) {
+    } else if (rest.starts_with("$ORIGIN") &&
+               (rest.size() == 7 || !ident(rest[7]))) {
       token = 7;
     } else {
       continue;
@@ -124,93 +131,74 @@ std::string_view Loader::expand_origin(std::string_view entry,
   return storage;
 }
 
-std::shared_ptr<const elf::Object> Loader::fetch_object(
-    const std::string& path, bool count_read) {
-  const support::PathId id = fs_.intern(path);
-  if (id == support::PathTable::kNone) {
-    // Interner byte budget exhausted: parse uncached (same charges — the
-    // read below is the only counted op either way).
-    const vfs::FileData* data = fs_.peek(path);
-    if (data == nullptr || !elf::looks_like_self(data->bytes)) return nullptr;
-    auto object = std::make_shared<const elf::Object>(elf::parse(data->bytes));
-    if (count_read) fs_.count_read(path);
-    return object;
-  }
-  const support::PathId canonical = fs_.resolve_canonical(id);
+std::shared_ptr<const elf::Object> Loader::parsed_object(
+    const Resolution& res, const vfs::FileData& data) {
   const support::PathId key =
-      canonical != support::PathTable::kNone ? canonical : id;
-  if (const auto it = cache_.find(key); it != cache_.end()) {
-    if (count_read) fs_.count_read(id);
-    return it->second;
+      res.canon != support::PathTable::kNone ? res.canon : res.id;
+  if (key != support::PathTable::kNone) {
+    if (const auto it = cache_.find(key); it != cache_.end()) {
+      return it->second;
+    }
   }
-  const vfs::FileData* data = fs_.peek(path);
-  if (data == nullptr) return nullptr;
-  if (!elf::looks_like_self(data->bytes)) return nullptr;
-  auto object = std::make_shared<const elf::Object>(elf::parse(data->bytes));
-  cache_.emplace(key, object);
-  if (count_read) fs_.count_read(id);
+  if (!elf::looks_like_self(data.bytes)) return nullptr;
+  auto object = std::make_shared<const elf::Object>(elf::parse(data.bytes));
+  // Interner byte budget exhausted: parsed uncached (same charges either
+  // way — the read counted by count_read is the only counted op).
+  if (key != support::PathTable::kNone) cache_.emplace(key, object);
   return object;
 }
 
-bool Loader::classify_probe(const std::string& path,
-                            const vfs::FileData* data, elf::Machine machine) {
-  if (data == nullptr) {
-    if (probe_log_) probe_log_->push_back("trying " + path + " ... ENOENT");
-    return false;
+void Loader::count_read(support::PathId id, const std::string& path) {
+  if (id != support::PathTable::kNone) {
+    fs_.count_read(id);
+  } else {
+    fs_.count_read(path);
   }
-  if (!elf::looks_like_self(data->bytes)) {
-    if (probe_log_) {
-      probe_log_->push_back("trying " + path + " ... not an object, skipped");
-    }
-    return false;
-  }
-  // The System V rule the paper leans on (§IV): a candidate whose
-  // architecture does not match is silently ignored and the search goes on.
-  elf::Object header = elf::parse(data->bytes);
-  if (header.machine != machine) {
-    if (probe_log_) {
-      probe_log_->push_back("trying " + path +
-                            " ... wrong architecture, skipped");
-    }
-    return false;
-  }
-  if (probe_log_) probe_log_->push_back("trying " + path + " ... found");
-  return true;
 }
 
-bool Loader::probe_file(support::PathId id, elf::Machine machine,
-                        const std::string* log_as) {
+std::string Loader::real_path_of(Resolution& res) const {
+  if (res.canon != support::PathTable::kNone) return paths_->str(res.canon);
+  // Past the byte budget: the string walk, keyed by the id its spelling
+  // interns to when it still fits.
+  std::string real = fs_.realpath(res.path).value_or(res.path);
+  res.canon = fs_.intern(real);
+  return real;
+}
+
+bool Loader::classify_probe(Resolution& res, const vfs::FileData* data,
+                            elf::Machine machine) {
+  std::string_view verdict = "found";
+  if (data == nullptr) {
+    verdict = "ENOENT";
+  } else {
+    res.canon = res.id != support::PathTable::kNone
+                    ? fs_.resolve_canonical(res.id)
+                    : support::PathTable::kNone;
+    res.object = parsed_object(res, *data);
+    if (!res.object) {
+      verdict = "not an object, skipped";
+    } else if (res.object->machine != machine) {
+      // The System V rule the paper leans on (§IV): a candidate whose
+      // architecture does not match is silently ignored and the search
+      // goes on.
+      verdict = "wrong architecture, skipped";
+    }
+  }
+  if (probe_log_) {
+    std::string line = "trying " + res.path + " ... ";
+    line += verdict;
+    probe_log_->push_back(std::move(line));
+  }
+  return verdict == "found";
+}
+
+bool Loader::probe_file(Resolution& res, elf::Machine machine) {
   // kNone (possible past the interner byte budget) probes by string;
   // either way the candidate is charged exactly one counted open(2).
-  const vfs::FileData* data = id != support::PathTable::kNone
-                                  ? fs_.open(id)
-                                  : fs_.open(*log_as);
-  return classify_probe(log_as != nullptr ? *log_as : paths_->str(id), data,
-                        machine);
-}
-
-bool Loader::probe_file(const std::string& path, elf::Machine machine) {
-  // Keeps the caller's spelling in the probe log (app-cache and preload
-  // paths travel verbatim); interning normalizes for the probe itself.
-  return probe_file(fs_.intern(path), machine, &path);
-}
-
-support::PathId Loader::intern_dir(std::string_view dir) const {
-  if (dir.empty() || dir.front() != '/') {
-    return paths_->intern_under(support::PathTable::kRoot, dir);
-  }
-  return paths_->intern(dir);
-}
-
-Loader::DirRef Loader::dir_ref(std::string_view dir) const {
-  DirRef ref;
-  ref.id = intern_dir(dir);
-  if (ref.id == support::PathTable::kNone) {
-    ref.text = vfs::normalize_path(dir.empty() || dir.front() != '/'
-                                       ? "/" + std::string(dir)
-                                       : std::string(dir));
-  }
-  return ref;
+  const vfs::FileData* data = res.id != support::PathTable::kNone
+                                  ? fs_.open(res.id)
+                                  : fs_.open(res.path);
+  return classify_probe(res, data, machine);
 }
 
 namespace {
@@ -224,47 +212,79 @@ std::string join_path(std::string_view dir, std::string_view name) {
 
 }  // namespace
 
-bool Loader::probe_candidate(const DirRef& dir, const std::string& name,
-                             elf::Machine machine, std::string& path) {
-  if (dir.id == support::PathTable::kNone) {  // past the byte budget
-    path = join_path(dir.text, name);
-    return classify_probe(path, fs_.open(path), machine);
+Loader::DirRef Loader::dir_ref(std::string_view dir) const {
+  DirRef ref;
+  if (dir.empty() || dir.front() != '/') {
+    ref.id = paths_->intern_under(support::PathTable::kRoot, dir);
+    if (ref.id == support::PathTable::kNone) {
+      ref.text = vfs::normalize_path("/" + std::string(dir));
+    }
+  } else {
+    ref.id = paths_->intern(dir);
+    if (ref.id == support::PathTable::kNone) ref.text = vfs::normalize_path(dir);
   }
-  const vfs::FileData* data = fs_.open_child(dir.id, name);
-  if (data == nullptr && probe_log_ == nullptr) return false;
-  paths_->child_str(dir.id, name, path);
-  return classify_probe(path, data, machine);
+  return ref;
 }
 
-Loader::DirProbe Loader::probe_dirs(std::span<const DirRef> dirs,
-                                    const std::string& name,
-                                    elf::Machine machine) {
-  const bool hwcaps = policy_->probes_hwcaps();
-  std::string path;
-  const auto found = [&](std::size_t d, const DirRef& dir) {
-    const support::PathId id = dir.id != support::PathTable::kNone
-                                   ? paths_->child(dir.id, name)
-                                   : support::PathTable::kNone;
-    return DirProbe{d, id, std::move(path)};
-  };
-  for (std::size_t d = 0; d < dirs.size(); ++d) {
-    if (hwcaps) {
+void Loader::add_search_dirs(DirList& dirs,
+                             const std::vector<std::string>& entries,
+                             const std::string* origin_of) const {
+  std::string storage;
+  for (const auto& entry : entries) {
+    DirRef plain = dir_ref(origin_of != nullptr
+                               ? expand_origin(entry, *origin_of, storage)
+                               : std::string_view(entry));
+    plain.source = dirs.empty() ? 0 : dirs.back().source + 1;
+    if (policy_->probes_hwcaps()) {
       for (const auto& hwcap : config_.hwcaps) {
         DirRef sub;
-        if (dirs[d].id != support::PathTable::kNone) {
-          sub.id = paths_->intern_under(dirs[d].id, hwcap);
+        sub.source = plain.source;
+        if (plain.id != support::PathTable::kNone) {
+          sub.id = paths_->intern_under(plain.id, hwcap);
         }
         if (sub.id == support::PathTable::kNone) {
-          sub.text = join_path(dirs[d].id != support::PathTable::kNone
-                                   ? paths_->str(dirs[d].id)
-                                   : dirs[d].text,
+          sub.text = join_path(plain.id != support::PathTable::kNone
+                                   ? paths_->str(plain.id)
+                                   : plain.text,
                                hwcap);
         }
-        if (probe_candidate(sub, name, machine, path)) return found(d, sub);
+        dirs.push_back(std::move(sub));
       }
     }
-    if (probe_candidate(dirs[d], name, machine, path)) {
-      return found(d, dirs[d]);
+    dirs.push_back(std::move(plain));
+  }
+}
+
+bool Loader::probe_candidate(DirRef& dir, const std::string& name,
+                             elf::Machine machine, Resolution& res) {
+  res.id = support::PathTable::kNone;
+  if (dir.id == support::PathTable::kNone) {  // past the byte budget
+    res.path = join_path(dir.text, name);
+    return classify_probe(res, fs_.open(res.path), machine);
+  }
+  if (!dir.handle) dir.handle = fs_.open_dir(dir.id);
+  const vfs::FileData* data = fs_.open_child(*dir.handle, name);
+  if (data == nullptr) {
+    if (probe_log_ == nullptr) return false;
+    paths_->child_str(dir.id, name, res.path);
+  } else {
+    res.id = paths_->child(dir.id, name);
+    if (res.id != support::PathTable::kNone) {
+      res.path = paths_->str(res.id);
+    } else {
+      paths_->child_str(dir.id, name, res.path);
+    }
+  }
+  return classify_probe(res, data, machine);
+}
+
+Loader::DirProbe Loader::probe_dirs(DirList& dirs, const std::string& name,
+                                    elf::Machine machine) {
+  DirProbe probe;
+  for (DirRef& dir : dirs) {
+    if (probe_candidate(dir, name, machine, probe.res)) {
+      probe.dir = dir.source;
+      return probe;
     }
   }
   return DirProbe{};
@@ -277,18 +297,25 @@ void Loader::ensure_ld_cache() {
   auto scan = [&](const std::vector<std::string>& dirs, HowFound how) {
     for (const auto& dir : dirs) {
       if (!fs_.exists(dir)) continue;
-      const support::PathId dir_id = intern_dir(dir);
+      const DirRef ref = dir_ref(dir);
       for (const auto& name : fs_.list_dir(dir)) {
-        const std::string path = dir + "/" + name;
-        if (!ld_cache_.contains(name)) {
-          // Entries keep working past the interner byte budget: a kNone id
-          // just means the eventual probe goes by string.
-          const support::PathId cand =
-              dir_id != support::PathTable::kNone
-                  ? paths_->child(dir_id, name)
-                  : support::PathTable::kNone;
-          ld_cache_.emplace(name, Resolution{path, how, cand});
+        if (ld_cache_.contains(name)) continue;
+        // Spelled from the interned candidate, so a cached hit reports
+        // the same path as the uncached sweep. Entries keep working past
+        // the interner byte budget: a kNone id just means the eventual
+        // probe goes by string.
+        CachedLib entry;
+        entry.how = how;
+        if (ref.id != support::PathTable::kNone) {
+          entry.id = paths_->child(ref.id, name);
         }
+        entry.path = entry.id != support::PathTable::kNone
+                         ? paths_->str(entry.id)
+                         : join_path(ref.id != support::PathTable::kNone
+                                         ? paths_->str(ref.id)
+                                         : ref.text,
+                                     name);
+        ld_cache_.emplace(name, std::move(entry));
       }
     }
   };
@@ -296,48 +323,40 @@ void Loader::ensure_ld_cache() {
   scan(config_.default_paths, HowFound::DefaultPath);
 }
 
-const std::vector<Loader::DirRef>& Loader::rpath_segment(
-    Session& session, std::size_t index) const {
+Loader::DirList& Loader::rpath_segment(Session& session,
+                                       std::size_t index) const {
   // Non-melding (glibc, Table I): an object carrying DT_RUNPATH
   // contributes nothing from its DT_RPATH. Melding (musl, §IV): RPATH and
   // RUNPATH of every link, both propagated. $ORIGIN expansion is the only
   // string work, and only for entries that actually carry a DST.
   auto [it, inserted] = session.rpath_segments.try_emplace(index);
-  std::vector<DirRef>& dirs = it->second;
+  DirList& dirs = it->second;
   if (!inserted) return dirs;
   const LoadedObject& node = session.report.load_order[index];
   if (!node.object) return dirs;
   const bool meld = policy_->melds_rpath_runpath();
-  std::string storage;
   if (meld || node.object->dyn.runpath.empty()) {
-    for (const auto& dir : node.object->dyn.rpath) {
-      dirs.push_back(dir_ref(expand_origin(dir, node.path, storage)));
-    }
+    add_search_dirs(dirs, node.object->dyn.rpath, &node.path);
   }
-  if (meld) {
-    for (const auto& dir : node.object->dyn.runpath) {
-      dirs.push_back(dir_ref(expand_origin(dir, node.path, storage)));
-    }
-  }
+  if (meld) add_search_dirs(dirs, node.object->dyn.runpath, &node.path);
   return dirs;
 }
 
-void Loader::note_realpath(Session& session, const std::string& real_path,
+void Loader::note_realpath(Session& session, support::PathId canon,
+                           const std::string& real_path,
                            std::size_t index) const {
-  if (real_path.empty()) return;
-  if (const support::PathId id = fs_.intern(real_path);
-      id != support::PathTable::kNone) {
-    session.by_realpath.emplace(id, index);
-  } else {  // interner budget exhausted: string-keyed inode proxy
+  if (canon != support::PathTable::kNone) {
+    session.by_realpath.emplace(canon, index);
+  } else if (!real_path.empty()) {  // string-keyed inode proxy
     session.by_realpath_str.emplace(real_path, index);
   }
 }
 
 std::optional<std::size_t> Loader::find_realpath(
-    const Session& session, const std::string& real_path) const {
-  if (const support::PathId id = fs_.intern(real_path);
-      id != support::PathTable::kNone) {
-    if (const auto it = session.by_realpath.find(id);
+    const Session& session, support::PathId canon,
+    const std::string& real_path) const {
+  if (canon != support::PathTable::kNone) {
+    if (const auto it = session.by_realpath.find(canon);
         it != session.by_realpath.end()) {
       return it->second;
     }
@@ -376,33 +395,31 @@ Loader::Resolution Loader::search(Session& session, const std::string& name,
     std::string storage;
     const std::string_view expanded =
         expand_origin(name, requester.path, storage);
+    Resolution res;
     if (!expanded.empty() && expanded.front() == '/') {
-      const support::PathId id = paths_->intern(expanded);
-      if (id == support::PathTable::kNone) {  // interner budget exhausted
-        std::string path = vfs::normalize_path(expanded);
-        if (probe_file(path, machine)) {
-          return Resolution{std::move(path), HowFound::AbsolutePath};
-        }
-        return Resolution{{}, HowFound::NotFound};
-      }
-      if (probe_file(id, machine)) {
-        return Resolution{paths_->str(id), HowFound::AbsolutePath, id};
-      }
-      return Resolution{{}, HowFound::NotFound};
+      res.id = paths_->intern(expanded);
+      res.path = res.id != support::PathTable::kNone
+                     ? paths_->str(res.id)
+                     : vfs::normalize_path(expanded);  // past the budget
+    } else {
+      // Relative entry with '/': probing throws like open() always has.
+      res.path = std::string(expanded);
+      res.id = fs_.intern(res.path);
     }
-    // Relative entry with '/': probing throws like open() always has.
-    std::string path(expanded);
-    if (probe_file(path, machine)) {
-      return Resolution{path, HowFound::AbsolutePath};
-    }
-    return Resolution{{}, HowFound::NotFound};
+    if (!probe_file(res, machine)) return Resolution{};
+    res.how = HowFound::AbsolutePath;
+    return res;
   }
 
   // Per-application loader cache: consulted before any directory search.
   if (const auto it = session.app_cache.find(name);
       it != session.app_cache.end()) {
-    if (probe_file(it->second, machine)) {
-      return Resolution{it->second, HowFound::AppCache};
+    Resolution res;
+    res.path = it->second;
+    res.id = fs_.intern(res.path);
+    if (probe_file(res, machine)) {
+      res.how = HowFound::AppCache;
+      return res;
     }
     // Stale cache entry: fall through to the normal search.
   }
@@ -415,7 +432,7 @@ Loader::Resolution Loader::search(Session& session, const std::string& name,
                                   machine);
     if (res.how != HowFound::NotFound) return res;
   }
-  return Resolution{{}, HowFound::NotFound};
+  return Resolution{};
 }
 
 Loader::Resolution Loader::search_phase(SearchPhase phase, Session& session,
@@ -424,8 +441,12 @@ Loader::Resolution Loader::search_phase(SearchPhase phase, Session& session,
                                         elf::Machine machine) {
   const LoadedObject& requester =
       session.report.load_order[requester_index];
-  // Each phase sweeps its search dirs in order; the accepting dir index
-  // maps back to the phase-specific HowFound label.
+  // Each phase sweeps its search dirs in order; the accepting dir's source
+  // index maps back to the phase-specific HowFound label.
+  const auto found = [](DirProbe& hit, HowFound how) {
+    hit.res.how = how;
+    return std::move(hit.res);
+  };
   switch (phase) {
     case SearchPhase::RpathChain: {
       // The requester's segment, then each ancestor's up to the
@@ -434,7 +455,7 @@ Loader::Resolution Loader::search_phase(SearchPhase phase, Session& session,
       const bool meld = policy_->melds_rpath_runpath();
       if (!requester.object ||
           (!meld && !requester.object->dyn.runpath.empty())) {
-        return Resolution{{}, HowFound::NotFound};
+        return Resolution{};
       }
       const auto& order = session.report.load_order;
       for (auto index = static_cast<std::int64_t>(requester_index);
@@ -448,74 +469,69 @@ Loader::Resolution Loader::search_phase(SearchPhase phase, Session& session,
         // report); non-melding labels every own DT_RPATH entry.
         const bool own_hit =
             node == requester_index && (!meld || hit.dir == 0);
-        return Resolution{std::move(hit.path),
-                          own_hit ? HowFound::Rpath : HowFound::RpathAncestor,
-                          hit.id};
+        return found(hit,
+                     own_hit ? HowFound::Rpath : HowFound::RpathAncestor);
       }
-      return Resolution{{}, HowFound::NotFound};
+      return Resolution{};
     }
     case SearchPhase::LdLibraryPath: {
-      std::vector<DirRef> dirs;
-      dirs.reserve(session.env->ld_library_path.size());
-      for (const auto& dir : session.env->ld_library_path) {
-        dirs.push_back(dir_ref(dir));
+      if (!session.library_path) {
+        add_search_dirs(session.library_path.emplace(),
+                        session.env->ld_library_path, nullptr);
       }
-      DirProbe hit = probe_dirs(dirs, name, machine);
-      if (!hit.found()) return Resolution{{}, HowFound::NotFound};
-      return Resolution{std::move(hit.path), HowFound::LdLibraryPath, hit.id};
+      DirProbe hit = probe_dirs(*session.library_path, name, machine);
+      if (!hit.found()) return Resolution{};
+      return found(hit, HowFound::LdLibraryPath);
     }
     case SearchPhase::Runpath: {
-      if (!requester.object) return Resolution{{}, HowFound::NotFound};
-      std::vector<DirRef> dirs;
-      dirs.reserve(requester.object->dyn.runpath.size());
-      std::string storage;
-      for (const auto& dir : requester.object->dyn.runpath) {
-        dirs.push_back(dir_ref(expand_origin(dir, requester.path, storage)));
+      if (!requester.object) return Resolution{};
+      auto [it, inserted] = session.runpaths.try_emplace(requester_index);
+      if (inserted) {
+        add_search_dirs(it->second, requester.object->dyn.runpath,
+                        &requester.path);
       }
-      DirProbe hit = probe_dirs(dirs, name, machine);
-      if (!hit.found()) return Resolution{{}, HowFound::NotFound};
-      return Resolution{std::move(hit.path), HowFound::Runpath, hit.id};
+      DirProbe hit = probe_dirs(it->second, name, machine);
+      if (!hit.found()) return Resolution{};
+      return found(hit, HowFound::Runpath);
     }
     case SearchPhase::SystemPaths: {
       if (policy_->uses_ld_cache() && config_.use_ld_cache) {
         ensure_ld_cache();
         if (const auto it = ld_cache_.find(name); it != ld_cache_.end()) {
           // The cache told us where to look; the loader still open()s it.
-          if (probe_file(it->second.id, machine, &it->second.path)) {
-            return it->second;
-          }
+          Resolution res;
+          res.path = it->second.path;
+          res.how = it->second.how;
+          res.id = it->second.id;
+          if (probe_file(res, machine)) return res;
         }
-        return Resolution{{}, HowFound::NotFound};
+        return Resolution{};
       }
       // No cache: sweep ld.so.conf dirs then the trusted defaults; the
       // boundary index decides the label.
-      std::vector<DirRef> dirs;
-      dirs.reserve(config_.ld_so_conf.size() + config_.default_paths.size());
-      for (const auto& dir : config_.ld_so_conf) {
-        dirs.push_back(dir_ref(dir));
+      if (!session.system_dirs) {
+        DirList& dirs = session.system_dirs.emplace();
+        add_search_dirs(dirs, config_.ld_so_conf, nullptr);
+        add_search_dirs(dirs, config_.default_paths, nullptr);
       }
-      for (const auto& dir : config_.default_paths) {
-        dirs.push_back(dir_ref(dir));
-      }
-      DirProbe hit = probe_dirs(dirs, name, machine);
-      if (!hit.found()) return Resolution{{}, HowFound::NotFound};
-      return Resolution{std::move(hit.path),
-                        hit.dir < config_.ld_so_conf.size()
+      DirProbe hit = probe_dirs(*session.system_dirs, name, machine);
+      if (!hit.found()) return Resolution{};
+      return found(hit, hit.dir < config_.ld_so_conf.size()
                             ? HowFound::LdSoConf
-                            : HowFound::DefaultPath,
-                        hit.id};
+                            : HowFound::DefaultPath);
     }
   }
-  return Resolution{{}, HowFound::NotFound};
+  return Resolution{};
 }
 
-std::size_t Loader::register_object(Session& session, LoadedObject loaded) {
+std::size_t Loader::register_object(Session& session, LoadedObject loaded,
+                                    support::PathId canon) {
   auto& order = session.report.load_order;
   const std::size_t index = order.size();
   // Dedup keys. Musl never dedups by soname (§IV); both dedup by the
   // requested string and by canonical path (the inode proxy).
   session.by_name.emplace(loaded.name, index);
-  note_realpath(session, loaded.real_path, index);
+  note_realpath(session, canon, loaded.real_path, index);
   if (loaded.object && !loaded.object->dyn.soname.empty() &&
       policy_->dedups_by_soname()) {
     session.by_soname.emplace(loaded.object->dyn.soname, index);
@@ -536,10 +552,18 @@ LoadReport Loader::load(const std::string& exe_path, const Environment& env) {
   if (exe_data == nullptr) {
     throw FsError("cannot execute: " + exe_path);
   }
-  auto exe_object = fetch_object(exe_path, /*count_read=*/true);
+  Resolution exe;
+  exe.path = exe_path;
+  exe.how = HowFound::Root;
+  exe.id = fs_.intern(exe_path);
+  if (exe.id != support::PathTable::kNone) {
+    exe.canon = fs_.resolve_canonical(exe.id);
+  }
+  auto exe_object = parsed_object(exe, *exe_data);
   if (!exe_object) {
     throw ElfError("not a SELF executable: " + exe_path);
   }
+  count_read(exe.id, exe.path);
   // Read the per-application loader cache, if enabled and present. The
   // loader pays one open() for the cache file itself.
   if (config_.use_app_cache) {
@@ -557,12 +581,12 @@ LoadReport Loader::load(const std::string& exe_path, const Environment& env) {
   LoadedObject root;
   root.name = exe_path;
   root.path = exe_path;
-  root.real_path = fs_.realpath(exe_path).value_or(exe_path);
+  root.real_path = real_path_of(exe);
   root.how = HowFound::Root;
   root.depth = 0;
   root.parent_index = -1;
   root.object = exe_object;
-  register_object(session, std::move(root));
+  register_object(session, std::move(root), exe.canon);
 
   std::deque<WorkItem> queue;
 
@@ -571,30 +595,30 @@ LoadReport Loader::load(const std::string& exe_path, const Environment& env) {
   for (const auto& preload : env.ld_preload) {
     Resolution res;
     if (preload.find('/') != std::string::npos) {
-      res = probe_file(preload, exe_object->machine)
-                ? Resolution{preload, HowFound::Preload}
-                : Resolution{{}, HowFound::NotFound};
+      res.path = preload;
+      res.id = fs_.intern(preload);
+      if (probe_file(res, exe_object->machine)) res.how = HowFound::Preload;
     } else {
       res = search(session, preload, 0);
-      if (res.how != HowFound::NotFound) res.how = HowFound::Preload;
     }
     LoadedObject loaded;
     loaded.name = preload;
     loaded.requested_by = "LD_PRELOAD";
     loaded.depth = 1;
     loaded.parent_index = 0;
-    loaded.how = res.how;
     if (res.how == HowFound::NotFound) {
       session.report.requests.push_back(loaded);
       session.report.missing.push_back(loaded);
       // glibc warns but continues on missing preloads.
       continue;
     }
-    loaded.path = res.path;
-    loaded.real_path = fs_.realpath(res.path).value_or(res.path);
-    loaded.object = fetch_object(res.path, /*count_read=*/true);
+    loaded.how = HowFound::Preload;
+    loaded.real_path = real_path_of(res);
+    loaded.object = res.object;
+    count_read(res.id, res.path);
+    loaded.path = std::move(res.path);
     session.report.requests.push_back(loaded);
-    register_object(session, std::move(loaded));
+    register_object(session, std::move(loaded), res.canon);
   }
 
   // Initial BFS scope: the executable's needed entries, then each
@@ -655,12 +679,12 @@ void Loader::process_request(Session& session, const WorkItem& item,
     return;
   }
 
-  request.path = res.path;
-  request.real_path = fs_.realpath(res.path).value_or(res.path);
+  request.real_path = real_path_of(res);
+  request.path = std::move(res.path);
 
   // Post-resolution inode dedup (both dialects; this is how musl avoids
   // double-loading a file reached via two different strings).
-  const auto real_hit = find_realpath(session, request.real_path);
+  const auto real_hit = find_realpath(session, res.canon, request.real_path);
   if (real_hit.has_value()) {
     const LoadedObject& original = session.report.load_order[*real_hit];
     request.how = HowFound::Cache;
@@ -672,10 +696,12 @@ void Loader::process_request(Session& session, const WorkItem& item,
   }
 
   request.how = res.how;
-  request.object = fetch_object(res.path, /*count_read=*/true);
-  assert(request.object && "probe succeeded but fetch failed");
+  request.object = std::move(res.object);
+  assert(request.object && "an accepted probe carries its object");
+  count_read(res.id, request.path);
   session.report.requests.push_back(request);
-  const std::size_t index = register_object(session, std::move(request));
+  const std::size_t index =
+      register_object(session, std::move(request), res.canon);
   enqueue_needed_deque(session, index, queue);
 }
 
@@ -697,7 +723,9 @@ LoadedObject Loader::dlopen(LoadReport& report, const std::string& caller_path,
   for (std::size_t i = 0; i < session.report.load_order.size(); ++i) {
     const auto& obj = session.report.load_order[i];
     session.by_name.emplace(obj.name, i);
-    note_realpath(session, obj.real_path, i);
+    if (!obj.real_path.empty()) {
+      note_realpath(session, fs_.intern(obj.real_path), obj.real_path, i);
+    }
     if (policy_->dedups_by_soname() && obj.object &&
         !obj.object->dyn.soname.empty()) {
       session.by_soname.emplace(obj.object->dyn.soname, i);

@@ -58,6 +58,8 @@ class RecordingModel final : public vfs::LatencyModel {
     log_->push_back(ChargeRec{op, hit, local_, path});
     return inner_ ? inner_->cost(op, hit, path) : 0.0;
   }
+  // The log must hold every miss's path so replay prices it exactly.
+  bool prices_misses_by_path() const override { return true; }
   void clear_client_cache() override {
     if (inner_) inner_->clear_client_cache();
   }

@@ -77,6 +77,14 @@ class LatencyModel {
 
   virtual void clear_client_cache() {}
 
+  /// Whether cost() of a MISSED stat/open reads `path`. When false the
+  /// filesystem may charge a failed candidate probe without spelling its
+  /// path (cost() then receives an empty string): the loader's ~400k
+  /// failed probes per Pynamic launch are priced without building one
+  /// string each. Defaults to true, the safe answer for a model that keys
+  /// anything by path.
+  virtual bool prices_misses_by_path() const { return true; }
+
   /// Duplicate this model (parameters AND current client-cache state) for
   /// an isolated filesystem copy — what lets batched parallel loads charge
   /// latency without sharing mutable cache state across threads. Models
@@ -101,6 +109,7 @@ class LocalDiskModel final : public LatencyModel {
   explicit LocalDiskModel(Params params) : params_(params) {}
 
   double cost(OpKind op, bool hit, const std::string& path) override;
+  bool prices_misses_by_path() const override { return false; }
   std::shared_ptr<LatencyModel> clone() const override {
     return std::make_shared<LocalDiskModel>(*this);
   }
@@ -131,6 +140,10 @@ class NfsModel final : public LatencyModel {
   explicit NfsModel(Params params) : params_(params) {}
 
   double cost(OpKind op, bool hit, const std::string& path) override;
+  /// Only a negative cache remembers which missing paths were probed.
+  bool prices_misses_by_path() const override {
+    return params_.negative_caching;
+  }
   void clear_client_cache() override;
   std::shared_ptr<LatencyModel> clone() const override {
     return std::make_shared<NfsModel>(*this);

@@ -360,15 +360,28 @@ class FileSystem {
   const FileData* open(std::string_view path);
   const FileData* open(PathId id);
 
-  /// open(paths().child(dir, name)) — the loader's candidate probe —
-  /// without interning the candidate. `dir` resolves through the dentry
-  /// cache; when `name` is plainly absent (no such entry, `dir` missing or
-  /// not a directory) the miss is charged exactly as that open() charges
-  /// it, same path string, and nothing is interned or memoized. Every
-  /// other case (a hit, a symlink, a mount, "."/".."/"", ELOOP, a
-  /// byte-budget refusal) takes the open(PathId) walk. `dir` must be an
-  /// interned id (not kNone) and `name` must not contain '/'.
-  const FileData* open_child(PathId dir, std::string_view name);
+  /// A directory resolved for repeated child probes (open_dir).
+  class Dir;
+
+  /// Uncounted: resolve the interned directory `dir` once for a run of
+  /// open_child probes. The handle holds the directory's node, so it is
+  /// valid only until this view's next mutation; the loader takes one per
+  /// search directory per load (a load never mutates the world) and drops
+  /// them when the load ends. `dir` must be interned (not kNone).
+  Dir open_dir(PathId dir) const;
+
+  /// open(paths().child(<dir's id>, name)) — the loader's candidate probe
+  /// — without interning the candidate. When `name` is plainly absent (no
+  /// such entry in the held node, or the directory is missing or not a
+  /// directory) the miss is charged exactly as that open() charges it and
+  /// nothing is interned or memoized; its path is spelled only for a
+  /// consumer that reads it: an op trace, a node-local mount, or a latency
+  /// model whose miss price depends on the path
+  /// (LatencyModel::prices_misses_by_path). Every other case (a hit, a
+  /// symlink, a mount, "."/".."/"", a directory whose walk loops or ran
+  /// past the byte budget) takes the open(PathId) walk. `name` must not
+  /// contain '/'.
+  const FileData* open_child(const Dir& dir, std::string_view name);
 
   /// Read after open: counted separately (data vs metadata traffic).
   void count_read(std::string_view path);
@@ -760,7 +773,7 @@ class FileSystem {
   MetaBreakdown* breakdown_ = nullptr;
   // Measured op-stream sink (set_op_trace); never inherited.
   OpTrace* trace_ = nullptr;
-  // open_child's miss spelling, reused so a failed probe does not allocate.
+  // open_child's miss spelling, reused so a spelled miss does not allocate.
   std::string probe_path_;
 
   // The mount table (empty for ordinary worlds; every operation above is
@@ -768,6 +781,18 @@ class FileSystem {
   // the stack of mounts at that point, topmost last.
   std::vector<Mount> mounts_;
   std::unordered_map<PathId, std::vector<std::uint16_t>> mount_at_;
+};
+
+class FileSystem::Dir {
+ private:
+  friend class FileSystem;
+  PathId id_ = support::PathTable::kNone;
+  // The directory's node; null when no entry can exist under it (the path
+  // is missing or not a directory).
+  const Node* node_ = nullptr;
+  // False when every probe must take the full walk: the directory's own
+  // walk looped (ELOOP) or lost its canonical id past the byte budget.
+  bool plain_ = false;
 };
 
 }  // namespace depchaos::vfs

@@ -1373,31 +1373,45 @@ const FileData* FileSystem::open(PathId id) {
   return &node(ino).data;
 }
 
-const FileData* FileSystem::open_child(PathId dir, std::string_view name) {
-  if (!name.empty() && name != "." && name != "..") {
-    InodeNum dir_ino = 0;
-    PathId dir_canon = kNoPath;
-    bool walked = true;
-    try {
-      int hops = 0;
-      dir_ino = resolve_id(dir, /*follow_final=*/true, hops, &dir_canon);
-    } catch (const FsError&) {
-      walked = false;  // ELOOP: the full walk charges it
-    }
-    // A plain miss: the walk of dir/name would stop at this step with
-    // nothing to follow, so charge its open(2) and keep nothing.
-    if (walked && (dir_ino == 0 || dir_canon != kNoPath) &&
-        step(dir_ino, name) == 0) {
-      paths_->child_str(dir, name, probe_path_);
-      charge(OpKind::Open, /*hit=*/false, probe_path_);
-      return nullptr;
-    }
+FileSystem::Dir FileSystem::open_dir(PathId dir) const {
+  Dir handle;
+  handle.id_ = dir;
+  InodeNum ino = 0;
+  PathId canon = kNoPath;
+  try {
+    int hops = 0;
+    ino = resolve_id(dir, /*follow_final=*/true, hops, &canon);
+  } catch (const FsError&) {
+    return handle;  // ELOOP: each probe's full walk charges it
   }
-  if (const PathId id = paths_->child(dir, name); id != kNoPath) {
+  if (ino != 0 && canon == kNoPath) return handle;  // past the byte budget
+  handle.plain_ = true;
+  if (ino != 0 && node(ino).type == NodeType::Directory) {
+    handle.node_ = &node(ino);
+  }
+  return handle;
+}
+
+const FileData* FileSystem::open_child(const Dir& dir, std::string_view name) {
+  if (dir.plain_ && !name.empty() && name != "." && name != ".." &&
+      (dir.node_ == nullptr || dir.node_->find_child(name) == 0)) {
+    // A plain miss: the walk of dir/name would stop at this step with
+    // nothing to follow, so charge its open(2) and keep nothing. Only a
+    // consumer that reads the path gets it spelled.
+    const bool spell =
+        counting_ &&
+        (trace_ != nullptr || has_node_local_mount() ||
+         (latency_ && latency_->prices_misses_by_path()));
+    probe_path_.clear();
+    if (spell) paths_->child_str(dir.id_, name, probe_path_);
+    charge(OpKind::Open, /*hit=*/false, probe_path_);
+    return nullptr;
+  }
+  if (const PathId id = paths_->child(dir.id_, name); id != kNoPath) {
     return open(id);
   }
   std::string path;  // byte budget exhausted: the uncached string walk
-  paths_->child_str(dir, name, path);
+  paths_->child_str(dir.id_, name, path);
   return open(path);
 }
 

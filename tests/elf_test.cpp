@@ -58,6 +58,20 @@ TEST(SelfFormat, ParseRejectsUnknownField) {
   EXPECT_THROW(parse("SELF1\nbogus value\nend\n"), ElfError);
 }
 
+TEST(SelfFormat, ParseRejectsBadExtraSize) {
+  // Digits only, within 64 bits: garbage, a sign, or an overflow is a
+  // malformed image, never a library exception or a wrapped-around size.
+  for (const char* value :
+       {"abc", "12abc", "-1", "+1", "", "18446744073709551616",
+        "99999999999999999999"}) {
+    EXPECT_THROW(parse(std::string("SELF1\nextra ") + value + "\nend\n"),
+                 ElfError)
+        << "extra '" << value << "'";
+  }
+  EXPECT_EQ(parse("SELF1\nextra 18446744073709551615\nend\n").extra_size,
+            18446744073709551615ull);
+}
+
 TEST(SelfFormat, ParseRejectsBadMachine) {
   EXPECT_THROW(parse("SELF1\nmachine vax\nend\n"), ElfError);
 }
